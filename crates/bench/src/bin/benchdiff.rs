@@ -10,10 +10,11 @@
 //! - a baseline bench file with no candidate counterpart,
 //! - a baseline metric key that disappeared from the candidate
 //!   (renames must update the committed baseline in the same change),
+//! - a `seed` or `sites` mismatch: medians from different scales are
+//!   not comparable, so a baseline of the wrong scale is a failure,
+//!   not a silent skip,
 //! - a paired-median regression: a `*_median_ms` key whose candidate
-//!   value exceeds baseline by more than the threshold (default 25%),
-//!   checked only when `seed` and `sites` match — medians from
-//!   different scales are not comparable.
+//!   value exceeds baseline by more than the threshold (default 25%).
 //!
 //! New candidate keys and improvements are reported but never fail the
 //! run; the gate is one-sided by design.
@@ -116,19 +117,20 @@ fn main() -> ExitCode {
             continue;
         };
         let mut file_fail = false;
+        let mut compared = 0usize;
         for key in base.metrics.keys() {
             if !cand.metrics.contains_key(key) {
                 println!("FAIL {name}: key {key:?} disappeared");
                 file_fail = true;
             }
         }
-        let comparable = base.seed == cand.seed && base.sites == cand.sites;
-        if !comparable {
+        if base.seed != cand.seed || base.sites != cand.sites {
             println!(
-                "skip {name}: medians not compared (seed/sites differ: \
+                "FAIL {name}: medians not comparable (seed/sites differ: \
                  baseline {:?}/{:?}, candidate {:?}/{:?})",
                 base.seed, base.sites, cand.seed, cand.sites
             );
+            file_fail = true;
         } else {
             for (key, bval) in &base.metrics {
                 if !key.ends_with("_median_ms") || !bval.is_finite() || *bval <= 0.0 {
@@ -137,6 +139,7 @@ fn main() -> ExitCode {
                 let Some(cval) = cand.metrics.get(key).filter(|v| v.is_finite()) else {
                     continue;
                 };
+                compared += 1;
                 let pct = (cval - bval) / bval * 100.0;
                 if pct > threshold {
                     println!(
@@ -155,7 +158,10 @@ fn main() -> ExitCode {
         if file_fail {
             failures += 1;
         } else {
-            println!("ok   {name}");
+            println!(
+                "ok   {name}: {} key(s) present, {compared} median(s) compared",
+                base.metrics.len()
+            );
         }
     }
     if failures > 0 {

@@ -3,6 +3,10 @@
 //! around a different experiment body. [`ExperimentSpec`] owns that
 //! boilerplate so a new experiment binary is just a spec literal.
 
+use std::path::{Path, PathBuf};
+
+use mahimahi::obs::{self, Channel};
+
 use crate::report::{header, write_bench_json};
 
 /// The corpus-wide experiment seed (the paper's publication year).
@@ -26,159 +30,144 @@ pub struct ExperimentSpec {
     pub run: fn(n: usize, seed: u64) -> Option<Metrics>,
 }
 
+/// One observer flag: the channel it turns on, that channel's load
+/// budget, and where the channel's JSONL goes after the run.
+struct ObsFlag {
+    flag: &'static str,
+    /// A value-less alias that writes into `.`.
+    switch: Option<&'static str>,
+    channel: Channel,
+    /// Loads the channel records. Flow traces (a few samples per ack)
+    /// and audits (bounded ledgers, not logs) are cheap enough for
+    /// every load; captures and spans keep only the first few.
+    budget: u64,
+    /// The file written inside the flag's directory; `None` when the
+    /// flag's value is the file itself.
+    file: Option<&'static str>,
+}
+
+/// Every observer flag, in parse and write order.
+const OBS_FLAGS: [ObsFlag; 4] = [
+    ObsFlag {
+        flag: "--trace-out",
+        switch: None,
+        channel: Channel::Trace,
+        budget: u64::MAX,
+        file: None,
+    },
+    ObsFlag {
+        flag: "--capture-out",
+        switch: None,
+        channel: Channel::Capture,
+        budget: obs::DEFAULT_CAPTURE_LOADS,
+        file: Some("capture.jsonl"),
+    },
+    ObsFlag {
+        flag: "--span-out",
+        switch: None,
+        channel: Channel::Spans,
+        budget: obs::DEFAULT_SPAN_LOADS,
+        file: Some("spans.jsonl"),
+    },
+    ObsFlag {
+        flag: "--audit-out",
+        switch: Some("--audit"),
+        channel: Channel::Audit,
+        budget: u64::MAX,
+        file: Some("audit.jsonl"),
+    },
+];
+
+impl ObsFlag {
+    /// The output this flag (or its switch, meaning `.`) names in
+    /// `args`. The flag without its value exits with status 2.
+    fn out(&self, args: &[String]) -> Option<String> {
+        let value = args.iter().position(|a| a == self.flag).map(|i| {
+            args.get(i + 1)
+                .filter(|p| !p.starts_with("--"))
+                .unwrap_or_else(|| {
+                    let kind = if self.file.is_some() {
+                        "directory"
+                    } else {
+                        "path"
+                    };
+                    eprintln!("{} requires a {kind} argument", self.flag);
+                    std::process::exit(2);
+                })
+                .clone()
+        });
+        let switched = self.switch.is_some_and(|s| args.iter().any(|a| a == s));
+        value.or_else(|| switched.then(|| ".".to_string()))
+    }
+
+    /// Write the channel's JSONL to `out` (or to `out/<file>`) and
+    /// report it.
+    fn write(&self, out: &str) {
+        let jsonl = obs::take(self.channel);
+        let summary = match self.channel {
+            Channel::Trace => format!("{} flow samples", jsonl.lines().count()),
+            Channel::Capture => format!("{} capture events", jsonl.lines().count()),
+            Channel::Spans => format!("{} spans", jsonl.lines().count()),
+            Channel::Audit => {
+                let violation = "\"ev\":\"violation\"";
+                let n = jsonl.lines().filter(|l| l.contains(violation)).count();
+                format!("{n} violation{}", if n == 1 { "" } else { "s" })
+            }
+        };
+        let path = match self.file {
+            None => PathBuf::from(out),
+            Some(file) => Path::new(out).join(file),
+        };
+        let write = match self.file {
+            None => std::fs::write(&path, &jsonl),
+            Some(_) => std::fs::create_dir_all(out).and_then(|()| std::fs::write(&path, &jsonl)),
+        };
+        match write {
+            Ok(()) => println!("\n  wrote {} ({summary})", path.display()),
+            Err(e) => eprintln!("\n  could not write {}: {e}", path.display()),
+        }
+    }
+}
+
 impl ExperimentSpec {
     /// Parse `argv[1]` (falling back to `default_sites`), print the
     /// header, run the body, and write `BENCH_<name>.json` if the body
     /// returned metrics. Binaries call this from `main`.
     ///
-    /// Every binary also accepts `--trace-out <path>` (after any
-    /// positional arguments): it turns on the harness's process-global
-    /// flow tracing, so every page load records per-flow TCP samples
-    /// (cwnd, srtt, in-flight, delivered, state transitions), and the
-    /// accumulated JSONL is written to `<path>` after the run. Tracing
-    /// only observes — the BENCH output is unchanged.
+    /// Observer flags (after any positional arguments) turn on one
+    /// process-global [`Channel`] each and write its JSONL after the
+    /// run. Observers only observe: the BENCH output is byte-identical
+    /// with any of them on or off.
     ///
-    /// Likewise `--capture-out <dir>` turns on the process-global packet
-    /// tap for the first [`mahimahi::obs::DEFAULT_CAPTURE_LOADS`] page
-    /// loads (per-packet enqueue/dequeue/drop/deliver at every shell,
-    /// plus request/response events at the browser and replay
-    /// boundaries) and writes `<dir>/capture.jsonl` after the run —
-    /// render it with `mmgraph <dir>`. Taps only observe — the BENCH
-    /// output is byte-identical with capture on or off.
+    /// | flag | channel, loads | writes | read with |
+    /// |---|---|---|---|
+    /// | `--trace-out <path>` | per-flow TCP samples, every load | `<path>` | — |
+    /// | `--capture-out <dir>` | per-packet and HTTP events, first [`obs::DEFAULT_CAPTURE_LOADS`] | `<dir>/capture.jsonl` | `mmobs graph` |
+    /// | `--span-out <dir>` | causal spans, first [`obs::DEFAULT_SPAN_LOADS`] | `<dir>/spans.jsonl` | `mmobs path` |
+    /// | `--audit`, `--audit-out <dir>` | conformance audit, every load | `<dir>/audit.jsonl` (default `.`) | `mmobs audit` |
     ///
-    /// And `--span-out <dir>` turns on the process-global causal-span
-    /// channel for the first [`mahimahi::obs::DEFAULT_SPAN_LOADS`] page
-    /// loads (page/resource/phase spans from the browser, `ServerThink`
-    /// from the replay servers, `ConnSetup`/`HolWait`/`Conn` from the
-    /// TCP layer) and writes `<dir>/spans.jsonl` after the run —
-    /// analyze it with `mmpath <dir>/spans.jsonl`. Sinks only observe —
-    /// the BENCH output is byte-identical with spans on or off.
-    ///
-    /// Finally `--audit` (optionally with `--audit-out <dir>`) turns on
-    /// the process-global conformance auditor for every page load:
-    /// packet-conservation ledgers, TCP invariants and HTTP/span
-    /// consistency are checked online, and the per-load reports plus
-    /// order-insensitive equivalence digests are written to
-    /// `<dir>/audit.jsonl` (default `.`) after the run — render or gate
-    /// with `mmaudit <dir>`, compare runs with `mmaudit --compare`.
-    /// Auditors only observe — the BENCH output is byte-identical with
-    /// auditing on or off.
+    /// A flag given without its value exits with status 2.
     pub fn main(&self) {
         let args: Vec<String> = std::env::args().collect();
-        let trace_out = args.iter().position(|a| a == "--trace-out").map(|i| {
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .unwrap_or_else(|| {
-                    eprintln!("--trace-out requires a path argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        });
-        if trace_out.is_some() {
-            mahimahi::obs::enable_trace();
-        }
-        let capture_out = args.iter().position(|a| a == "--capture-out").map(|i| {
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .unwrap_or_else(|| {
-                    eprintln!("--capture-out requires a directory argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        });
-        if capture_out.is_some() {
-            mahimahi::obs::enable_capture(mahimahi::obs::DEFAULT_CAPTURE_LOADS);
-        }
-        let span_out = args.iter().position(|a| a == "--span-out").map(|i| {
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .unwrap_or_else(|| {
-                    eprintln!("--span-out requires a directory argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        });
-        if span_out.is_some() {
-            mahimahi::obs::enable_spans(mahimahi::obs::DEFAULT_SPAN_LOADS);
-        }
-        let audit_out = args.iter().position(|a| a == "--audit-out").map(|i| {
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .unwrap_or_else(|| {
-                    eprintln!("--audit-out requires a directory argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        });
-        let audit = audit_out.is_some() || args.iter().any(|a| a == "--audit");
-        let audit_out = audit.then(|| audit_out.unwrap_or_else(|| ".".to_string()));
-        if audit {
-            mahimahi::obs::enable_audit();
-        }
+        let outs: Vec<Option<String>> = OBS_FLAGS
+            .iter()
+            .map(|f| {
+                let out = f.out(&args);
+                if out.is_some() {
+                    obs::enable(f.channel, f.budget);
+                }
+                out
+            })
+            .collect();
         let n = args
             .get(1)
             .and_then(|s| s.parse().ok())
             .unwrap_or(self.default_sites);
         header(&(self.title)(n));
         let metrics = (self.run)(n, DEFAULT_SEED);
-        if let Some(path) = &trace_out {
-            let jsonl = mahimahi::obs::take_trace_jsonl();
-            match std::fs::write(path, &jsonl) {
-                Ok(()) => println!(
-                    "\n  wrote {} ({} flow samples)",
-                    path,
-                    jsonl.lines().count()
-                ),
-                Err(e) => eprintln!("\n  could not write trace {path}: {e}"),
-            }
-        }
-        if let Some(dir) = &capture_out {
-            let jsonl = mahimahi::obs::take_capture_jsonl();
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                let path = std::path::Path::new(dir).join("capture.jsonl");
-                std::fs::write(&path, &jsonl).map(|()| path)
-            });
-            match write {
-                Ok(path) => println!(
-                    "\n  wrote {} ({} capture events)",
-                    path.display(),
-                    jsonl.lines().count()
-                ),
-                Err(e) => eprintln!("\n  could not write capture into {dir}: {e}"),
-            }
-        }
-        if let Some(dir) = &span_out {
-            let jsonl = mahimahi::obs::take_span_jsonl();
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                let path = std::path::Path::new(dir).join("spans.jsonl");
-                std::fs::write(&path, &jsonl).map(|()| path)
-            });
-            match write {
-                Ok(path) => println!(
-                    "\n  wrote {} ({} spans)",
-                    path.display(),
-                    jsonl.lines().count()
-                ),
-                Err(e) => eprintln!("\n  could not write spans into {dir}: {e}"),
-            }
-        }
-        if let Some(dir) = &audit_out {
-            let jsonl = mahimahi::obs::take_audit_jsonl();
-            let violations = jsonl
-                .lines()
-                .filter(|l| l.contains("\"ev\":\"violation\""))
-                .count();
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                let path = std::path::Path::new(dir).join("audit.jsonl");
-                std::fs::write(&path, &jsonl).map(|()| path)
-            });
-            match write {
-                Ok(path) => println!(
-                    "\n  wrote {} ({violations} violation{})",
-                    path.display(),
-                    if violations == 1 { "" } else { "s" }
-                ),
-                Err(e) => eprintln!("\n  could not write audit report into {dir}: {e}"),
+        for (f, out) in OBS_FLAGS.iter().zip(&outs) {
+            if let Some(out) = out {
+                f.write(out);
             }
         }
         if let Some(metrics) = metrics {

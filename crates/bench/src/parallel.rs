@@ -14,7 +14,7 @@
 ///
 /// Setting `MM_BENCH_SERIAL=1` forces the plain serial loop, the
 /// reference point for CI's serial-vs-sharded equivalence gate
-/// (`mmaudit --compare`).
+/// (`mmobs audit --compare`).
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

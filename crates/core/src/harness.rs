@@ -18,6 +18,8 @@ use mm_sim::{RngStream, SimDuration, Simulator};
 use mm_trace::Trace;
 use mm_web::{apply_live_web_variability, HostProfile, LiveWebConfig};
 
+use crate::obs::{self, Channel};
+
 /// Queue discipline selection for LinkShell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QdiscKind {
@@ -116,14 +118,14 @@ pub struct LoadSpec<'a> {
     /// Explicit per-packet/per-request tap for this load, attached to
     /// every shell layer plus the browser and replay boundaries. `None`
     /// falls back to the process-global `--capture-out` capture (see
-    /// [`crate::obs::enable_capture`]). Taps only observe: results are
+    /// [`crate::obs::Channel::Capture`]). Taps only observe: results are
     /// byte-identical with or without one.
     pub capture: Option<mm_capture::TapHandle>,
     /// Explicit causal-span sink for this load, attached to the browser
     /// (page/resource/phase spans), the replay servers (`ServerThink`)
     /// and every host's TCP layer (`ConnSetup`/`HolWait`/`Conn`). `None`
     /// falls back to the process-global `--span-out` channel (see
-    /// [`crate::obs::enable_spans`]). Sinks only observe: results are
+    /// [`crate::obs::Channel::Spans`]). Sinks only observe: results are
     /// byte-identical with or without one.
     pub span: Option<mm_trace::SpanHandle>,
     /// Explicit conformance auditor for this load, registered as the
@@ -131,7 +133,7 @@ pub struct LoadSpec<'a> {
     /// out alongside any other sinks). The caller keeps the auditor and
     /// calls [`mm_audit::Auditor::finish`] after the load. `None` falls
     /// back to the process-global `--audit` channel (see
-    /// [`crate::obs::enable_audit`]). Auditors only observe: results
+    /// [`crate::obs::Channel::Audit`]). Auditors only observe: results
     /// are byte-identical with or without one.
     pub audit: Option<mm_audit::Auditor>,
     /// Seed for all stochastic elements of this load.
@@ -176,8 +178,8 @@ pub fn run_page_load(spec: &LoadSpec<'_>) -> PageLoadResult {
     // from the untraced path only in the sink field — hosts fall back
     // to `TcpConfig::default()` when no config flows in, and sinks only
     // observe — so the simulation itself is unchanged.
-    let trace = (crate::obs::trace_enabled()
-        && spec.tcp.as_ref().is_none_or(|t| t.metrics.is_none()))
+    let trace = (spec.tcp.as_ref().is_none_or(|t| t.metrics.is_none())
+        && obs::claim(Channel::Trace).is_some())
     .then(mm_metrics::FlowTracer::new);
     let spec_tcp = match &trace {
         Some(tracer) => Some(
@@ -202,7 +204,7 @@ pub fn run_page_load(spec: &LoadSpec<'_>) -> PageLoadResult {
     // load records into a private `Capture` merged on completion. Taps
     // only observe, so the simulation is byte-identical either way.
     let claimed = if spec.capture.is_none() {
-        crate::obs::claim_capture_load().map(mm_capture::Capture::for_load)
+        obs::claim(Channel::Capture).map(mm_capture::Capture::for_load)
     } else {
         None
     };
@@ -219,7 +221,7 @@ pub fn run_page_load(spec: &LoadSpec<'_>) -> PageLoadResult {
     // hooks below — the cross-stream checks (qdisc gauge vs packet
     // ledger, server bytes vs browser bytes) need one shared view.
     let audit_claimed = if spec.audit.is_none() {
-        crate::obs::claim_audit_load().map(mm_audit::Auditor::for_load)
+        obs::claim(Channel::Audit).map(mm_audit::Auditor::for_load)
     } else {
         None
     };
@@ -238,7 +240,7 @@ pub fn run_page_load(spec: &LoadSpec<'_>) -> PageLoadResult {
     // into a private `TraceBuffer` merged on completion. Sinks only
     // observe, so the simulation is byte-identical either way.
     let span_claimed = if spec.span.is_none() {
-        crate::obs::claim_span_load().map(mm_trace::TraceBuffer::for_load)
+        obs::claim(Channel::Spans).map(mm_trace::TraceBuffer::for_load)
     } else {
         None
     };
@@ -410,17 +412,16 @@ pub fn run_page_load(spec: &LoadSpec<'_>) -> PageLoadResult {
         *slot.borrow_mut() = Some(r);
     });
     sim.run();
-    if let Some(tracer) = &trace {
-        crate::obs::merge_tracer(tracer);
-    }
-    if let Some(capture) = &claimed {
-        crate::obs::merge_capture(capture);
-    }
-    if let Some(buf) = &span_claimed {
-        crate::obs::merge_spans(buf);
-    }
-    if let Some(a) = &audit_claimed {
-        crate::obs::append_audit_jsonl(&a.finish().to_jsonl());
+    // Every claimed recorder drains into its channel.
+    for (channel, jsonl) in [
+        (Channel::Trace, trace.map(|t| t.take_jsonl())),
+        (Channel::Capture, claimed.map(|c| c.take_jsonl())),
+        (Channel::Spans, span_claimed.map(|b| b.to_jsonl())),
+        (Channel::Audit, audit_claimed.map(|a| a.finish().to_jsonl())),
+    ] {
+        if let Some(jsonl) = jsonl {
+            obs::append(channel, &jsonl);
+        }
     }
     let r = result
         .borrow_mut()

@@ -1,251 +1,138 @@
 //! Observability glue for the harness layers: registry export helpers
-//! for page-load and fleet results, and the process-global collectors
-//! behind the experiment binaries' `--trace-out`, `--capture-out` and
-//! `--span-out` flags.
+//! for page-load and fleet results, and the process-global channel
+//! table behind the experiment binaries' `--trace-out`, `--capture-out`,
+//! `--span-out` and `--audit-out` flags.
 //!
-//! The collectors are process-global because experiment bodies shard
+//! The channels are process-global because experiment bodies shard
 //! site loops across threads (`bench::parallel_map`) and each load
 //! builds its own world: every instrumented load gets a private
-//! single-threaded recorder ([`FlowTracer`], [`mm_capture::Capture`],
-//! [`mm_trace::TraceBuffer`]) and drains its JSONL into the shared
-//! buffer when the load completes. All three channels share one
-//! [`ObsChannel`] shape — an enable flag, a CAS-claimed load budget
-//! handing out process-unique load ids, and the merge buffer — so
-//! adding a consumer is a static and three thin wrappers. Recorders
-//! only observe; simulation results (and therefore BENCH outputs) are
+//! single-threaded recorder ([`FlowTracer`](mm_metrics::FlowTracer),
+//! [`mm_capture::Capture`], [`mm_trace::TraceBuffer`],
+//! [`mm_audit::Auditor`]) and appends its JSONL to the shared buffer
+//! when the load completes. Every [`Channel`] has the same shape — an
+//! enable flag, a CAS-claimed load budget handing out process-unique
+//! load ids, and the merge buffer — driven by four functions:
+//! [`enable`], [`claim`], [`append`] and [`take`]. Recorders only
+//! observe; simulation results (and therefore BENCH outputs) are
 //! byte-identical with them on or off.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::fleet::FleetResult;
-use mm_metrics::{FlowTracer, Registry, LATENCY_BUCKETS_S};
+use mm_metrics::{Registry, LATENCY_BUCKETS_S};
 use mm_sim::SimDuration;
 use mm_trace::{Span, SpanKind, SpanSink};
 
-/// One process-global observability channel: an on/off flag, a budget
-/// of page loads still to record (claimed by CAS so threaded site
-/// loops never over-record), a process-unique load-id allocator, and
-/// the buffer completed loads merge their JSONL into.
-struct ObsChannel {
+/// One process-global observer channel.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Channel {
+    /// Per-flow TCP samples (`--trace-out`).
+    Trace,
+    /// Per-packet and per-request events (`--capture-out`).
+    Capture,
+    /// Causal spans (`--span-out`).
+    Spans,
+    /// Conformance audit reports (`--audit`, `--audit-out`).
+    Audit,
+}
+
+/// One channel's state: an on/off flag, a budget of page loads still
+/// to record (claimed by CAS so threaded site loops never over-record),
+/// a process-unique load-id allocator, and the buffer completed loads
+/// append their JSONL to.
+struct ChannelState {
     enabled: AtomicBool,
     budget: AtomicU64,
     next_load: AtomicU64,
     buffer: Mutex<String>,
 }
 
-impl ObsChannel {
-    const fn new() -> ObsChannel {
-        ObsChannel {
+impl ChannelState {
+    const fn off() -> ChannelState {
+        ChannelState {
             enabled: AtomicBool::new(false),
             budget: AtomicU64::new(0),
             next_load: AtomicU64::new(0),
             buffer: Mutex::new(String::new()),
         }
     }
-
-    fn enable(&self, max_loads: u64) {
-        self.budget.store(max_loads, Ordering::SeqCst);
-        self.enabled.store(true, Ordering::SeqCst);
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::SeqCst)
-    }
-
-    /// Claim a recording slot for one page load, returning its
-    /// process-unique load id, or `None` when the channel is off or
-    /// the budget is spent.
-    fn claim_load(&self) -> Option<u64> {
-        if !self.enabled() {
-            return None;
-        }
-        let mut budget = self.budget.load(Ordering::SeqCst);
-        loop {
-            if budget == 0 {
-                return None;
-            }
-            match self.budget.compare_exchange(
-                budget,
-                budget - 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return Some(self.next_load.fetch_add(1, Ordering::SeqCst)),
-                Err(seen) => budget = seen,
-            }
-        }
-    }
-
-    fn append(&self, jsonl: &str) {
-        if !jsonl.is_empty() {
-            self.buffer
-                .lock()
-                .expect("obs buffer poisoned")
-                .push_str(jsonl);
-        }
-    }
-
-    fn take(&self) -> String {
-        std::mem::take(&mut *self.buffer.lock().expect("obs buffer poisoned"))
-    }
 }
 
-static TRACE: ObsChannel = ObsChannel::new();
-static CAPTURE: ObsChannel = ObsChannel::new();
-static SPAN: ObsChannel = ObsChannel::new();
-static AUDIT: ObsChannel = ObsChannel::new();
+/// The channel table, indexed by `Channel as usize`.
+static CHANNELS: [ChannelState; 4] = [
+    ChannelState::off(),
+    ChannelState::off(),
+    ChannelState::off(),
+    ChannelState::off(),
+];
+
+fn state(channel: Channel) -> &'static ChannelState {
+    &CHANNELS[channel as usize]
+}
 
 /// Default number of page loads a `--capture-out` run captures. Packet
 /// captures are far denser than flow traces (every enqueue/dequeue/
 /// deliver at every shell), so the budget keeps a many-hundred-load
-/// sweep from writing gigabytes while still giving `mmgraph` several
-/// complete loads to draw.
+/// sweep from writing gigabytes while still giving `mmobs graph`
+/// several complete loads to draw.
 pub const DEFAULT_CAPTURE_LOADS: u64 = 8;
 
 /// Default number of page loads a `--span-out` run records. Spans are
 /// per-resource rather than per-packet (a few hundred per load), so
 /// the budget can afford more loads than packet capture — enough for
-/// `mmpath --diff` to pair both arms of a protocol comparison across
-/// several sites.
+/// `mmobs path --diff` to pair both arms of a protocol comparison
+/// across several sites.
 pub const DEFAULT_SPAN_LOADS: u64 = 64;
 
-/// Turn on process-global flow tracing: subsequent
-/// [`run_page_load`](crate::harness::run_page_load) calls whose spec
-/// carries no explicit metrics sink get a private tracer whose samples
-/// accumulate for [`take_trace_jsonl`]. Flow traces are cheap (a few
-/// samples per ack), so the budget is effectively unbounded — the
-/// claim exists so all channels share one idiom.
-pub fn enable_trace() {
-    TRACE.enable(u64::MAX);
+/// Turn `channel` on for the next `max_loads` page loads (`u64::MAX`
+/// for every load). Each [`run_page_load`](crate::harness::run_page_load)
+/// that claims a slot records into a private recorder and appends its
+/// JSONL to the channel's buffer when the load completes.
+pub fn enable(channel: Channel, max_loads: u64) {
+    let st = state(channel);
+    st.budget.store(max_loads, Ordering::SeqCst);
+    st.enabled.store(true, Ordering::SeqCst);
 }
 
-/// Whether [`enable_trace`] has been called.
-pub fn trace_enabled() -> bool {
-    TRACE.enabled()
+/// Claim a recording slot for one page load, returning its
+/// process-unique load id, or `None` when the channel is off or its
+/// budget is spent.
+pub fn claim(channel: Channel) -> Option<u64> {
+    let st = state(channel);
+    if !st.enabled.load(Ordering::SeqCst) {
+        return None;
+    }
+    let mut budget = st.budget.load(Ordering::SeqCst);
+    loop {
+        if budget == 0 {
+            return None;
+        }
+        match st
+            .budget
+            .compare_exchange(budget, budget - 1, Ordering::SeqCst, Ordering::SeqCst)
+        {
+            Ok(_) => return Some(st.next_load.fetch_add(1, Ordering::SeqCst)),
+            Err(seen) => budget = seen,
+        }
+    }
 }
 
-/// Claim a flow-trace slot for one page load (see [`ObsChannel::claim_load`]).
-pub fn claim_trace_load() -> Option<u64> {
-    TRACE.claim_load()
+/// Append one load's JSONL to the channel's buffer.
+pub fn append(channel: Channel, jsonl: &str) {
+    if !jsonl.is_empty() {
+        state(channel)
+            .buffer
+            .lock()
+            .expect("obs buffer poisoned")
+            .push_str(jsonl);
+    }
 }
 
-/// Append one world's drained trace to the global buffer.
-pub fn append_trace_jsonl(jsonl: &str) {
-    TRACE.append(jsonl);
-}
-
-/// Drain a per-world tracer into the global buffer.
-pub fn merge_tracer(tracer: &FlowTracer) {
-    TRACE.append(&tracer.take_jsonl());
-}
-
-/// Take everything traced so far (the `--trace-out` writer).
-pub fn take_trace_jsonl() -> String {
-    TRACE.take()
-}
-
-/// Turn on process-global packet capture for the first `max_loads`
-/// page loads: each captured load gets a private [`mm_capture::Capture`]
-/// tapped into its shells, browser and replay servers, whose JSONL is
-/// merged into the buffer behind [`take_capture_jsonl`] when the load
-/// completes. Taps only observe, so simulation results — and therefore
-/// BENCH outputs — are byte-identical with capture on or off.
-pub fn enable_capture(max_loads: u64) {
-    CAPTURE.enable(max_loads);
-}
-
-/// Whether [`enable_capture`] has been called.
-pub fn capture_enabled() -> bool {
-    CAPTURE.enabled()
-}
-
-/// Claim a capture slot for one page load, returning its process-unique
-/// load id, or `None` when capture is off or the budget is spent.
-pub fn claim_capture_load() -> Option<u64> {
-    CAPTURE.claim_load()
-}
-
-/// Append one load's capture JSONL to the global buffer.
-pub fn append_capture_jsonl(jsonl: &str) {
-    CAPTURE.append(jsonl);
-}
-
-/// Drain a per-load capture into the global buffer.
-pub fn merge_capture(capture: &mm_capture::Capture) {
-    CAPTURE.append(&capture.take_jsonl());
-}
-
-/// Take everything captured so far (the `--capture-out` writer).
-pub fn take_capture_jsonl() -> String {
-    CAPTURE.take()
-}
-
-/// Turn on process-global span recording for the first `max_loads`
-/// page loads: each recorded load gets a private
-/// [`mm_trace::TraceBuffer`] wired through the browser, sockets, mux
-/// client and replay servers, whose JSONL is merged into the buffer
-/// behind [`take_span_jsonl`] when the load completes. Sinks only
-/// observe, so BENCH outputs are byte-identical with spans on or off.
-pub fn enable_spans(max_loads: u64) {
-    SPAN.enable(max_loads);
-}
-
-/// Whether [`enable_spans`] has been called.
-pub fn spans_enabled() -> bool {
-    SPAN.enabled()
-}
-
-/// Claim a span slot for one page load, returning its process-unique
-/// load id, or `None` when recording is off or the budget is spent.
-pub fn claim_span_load() -> Option<u64> {
-    SPAN.claim_load()
-}
-
-/// Append one load's span JSONL to the global buffer.
-pub fn append_span_jsonl(jsonl: &str) {
-    SPAN.append(jsonl);
-}
-
-/// Drain a per-load span buffer into the global buffer.
-pub fn merge_spans(buffer: &mm_trace::TraceBuffer) {
-    SPAN.append(&buffer.to_jsonl());
-}
-
-/// Take everything recorded so far (the `--span-out` writer).
-pub fn take_span_jsonl() -> String {
-    SPAN.take()
-}
-
-/// Turn on process-global conformance auditing: every subsequent
-/// [`run_page_load`](crate::harness::run_page_load) wires an
-/// [`mm_audit::Auditor`] into the load's metrics, tap and span hooks
-/// and merges its report into the buffer behind [`take_audit_jsonl`].
-/// Auditors validate instead of record, so their state is a bounded
-/// set of ledgers rather than a per-packet log — the budget is
-/// unbounded, matching `--trace-out`.
-pub fn enable_audit() {
-    AUDIT.enable(u64::MAX);
-}
-
-/// Whether [`enable_audit`] has been called.
-pub fn audit_enabled() -> bool {
-    AUDIT.enabled()
-}
-
-/// Claim an audit slot for one page load (see [`ObsChannel::claim_load`]).
-pub fn claim_audit_load() -> Option<u64> {
-    AUDIT.claim_load()
-}
-
-/// Append one load's audit report JSONL to the global buffer.
-pub fn append_audit_jsonl(jsonl: &str) {
-    AUDIT.append(jsonl);
-}
-
-/// Take every audit report merged so far (the `--audit-out` writer).
-pub fn take_audit_jsonl() -> String {
-    AUDIT.take()
+/// Take everything appended to the channel so far (the `--*-out`
+/// writers).
+pub fn take(channel: Channel) -> String {
+    std::mem::take(&mut *state(channel).buffer.lock().expect("obs buffer poisoned"))
 }
 
 /// A [`SpanSink`] that turns per-resource phase spans into labeled
@@ -351,10 +238,10 @@ mod tests {
     fn trace_buffer_accumulates_and_drains() {
         // Note: shares process-global state with other tests, so only
         // assert on our own marker line surviving the round trip.
-        append_trace_jsonl("{\"flow\":999999}\n");
-        let drained = take_trace_jsonl();
+        append(Channel::Trace, "{\"flow\":999999}\n");
+        let drained = take(Channel::Trace);
         assert!(drained.contains("{\"flow\":999999}"));
-        assert!(!take_trace_jsonl().contains("999999"));
+        assert!(!take(Channel::Trace).contains("999999"));
     }
 
     #[test]
@@ -362,22 +249,22 @@ mod tests {
         // The capture flag is process-global, so unit tests leave it
         // off (enabling here would leak capture work into every other
         // concurrently-running harness test).
-        assert!(claim_capture_load().is_none());
-        append_capture_jsonl("{\"ev\":\"pkt\",\"load\":123456}\n");
-        let drained = take_capture_jsonl();
+        assert!(claim(Channel::Capture).is_none());
+        append(Channel::Capture, "{\"ev\":\"pkt\",\"load\":123456}\n");
+        let drained = take(Channel::Capture);
         assert!(drained.contains("123456"));
-        assert!(!take_capture_jsonl().contains("123456"));
+        assert!(!take(Channel::Capture).contains("123456"));
     }
 
     #[test]
     fn span_claim_requires_enable_and_buffer_roundtrips() {
         // Like capture, the span flag is process-global; unit tests
         // leave it off and only exercise the buffer round trip.
-        assert!(claim_span_load().is_none());
-        append_span_jsonl("{\"ev\":\"span\",\"load\":654321}\n");
-        let drained = take_span_jsonl();
+        assert!(claim(Channel::Spans).is_none());
+        append(Channel::Spans, "{\"ev\":\"span\",\"load\":654321}\n");
+        let drained = take(Channel::Spans);
         assert!(drained.contains("654321"));
-        assert!(!take_span_jsonl().contains("654321"));
+        assert!(!take(Channel::Spans).contains("654321"));
     }
 
     #[test]

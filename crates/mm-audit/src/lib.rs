@@ -21,20 +21,20 @@
 //!   clock;
 //! - **HTTP/span consistency**: every browser `Done` matches a server
 //!   `ServerSent` byte count for the same request path, and each resource's
-//!   phase spans tile its resource span exactly (the contract `mmpath`'s
+//!   phase spans tile its resource span exactly (the contract `mmobs path`'s
 //!   critical-path walk stands on).
 //!
 //! Violations are *accumulated*, never panicked: an auditor in a CI
 //! smoke run or a soak must report everything it saw, not die on the
 //! first anomaly. [`Auditor::finish`] returns an [`AuditReport`] whose
-//! JSONL form the `mmaudit` binary renders and gates on.
+//! JSONL form `mmobs audit` renders and gates on.
 //!
 //! The report also carries **equivalence digests**: one 64-bit hash per
 //! link point and per connection, folded from per-packet event hashes
 //! with a commutative combine (wrapping add), so the digest of a run is
 //! *order-insensitive* — a serial site loop and a thread-sharded one
 //! (`bench::parallel_map`) must produce identical digests, and
-//! `mmaudit --compare a/ b/` exits nonzero when any scope differs.
+//! `mmobs audit --compare a/ b/` exits nonzero when any scope differs.
 //! Process-global load ids are deliberately excluded from the hash:
 //! they are claim-order-dependent and would differ across shardings.
 
@@ -46,6 +46,7 @@ use mm_capture::{
     Dir, HttpEvent, HttpPhase, PacketEvent, PacketEventKind, PacketTap, PointKind, TapHandle,
     TapPoint,
 };
+use mm_metrics::jsonl::{escape, get_str, get_u64, parse_lines};
 use mm_metrics::{FlowSample, MetricsHandle, MetricsSink};
 use mm_trace::{Span, SpanHandle, SpanKind, SpanSink, NO_RESOURCE};
 
@@ -84,7 +85,7 @@ impl AuditReport {
         self.violations.is_empty() && self.dropped_violations == 0
     }
 
-    /// Serialize as the flat JSONL `mmaudit` consumes: one line per
+    /// Serialize as the flat JSONL `mmobs audit` consumes: one line per
     /// violation, one per digest scope, and a trailing summary.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -92,16 +93,16 @@ impl AuditReport {
             out.push_str(&format!(
                 "{{\"ev\":\"violation\",\"load\":{},\"code\":\"{}\",\"scope\":\"{}\",\"detail\":\"{}\"}}\n",
                 self.load,
-                escape_json(v.code),
-                escape_json(&v.scope),
-                escape_json(&v.detail),
+                escape(v.code),
+                escape(&v.scope),
+                escape(&v.detail),
             ));
         }
         for (scope, hash) in &self.digests {
             out.push_str(&format!(
                 "{{\"ev\":\"digest\",\"load\":{},\"scope\":\"{}\",\"hash\":{}}}\n",
                 self.load,
-                escape_json(scope),
+                escape(scope),
                 hash,
             ));
         }
@@ -873,21 +874,8 @@ impl SpanSink for Auditor {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
-// Report parsing (the `mmaudit` side).
+// Report parsing (the `mmobs audit` side).
 
 /// One violation parsed back from report JSONL.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -912,103 +900,48 @@ pub struct ParsedAudit {
     pub dropped_violations: u64,
 }
 
-fn find_key(line: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    while let Some(rel) = line[start..].find(&pat) {
-        let pos = start + rel;
-        if pos == 0 || bytes[pos - 1] != b'\\' {
-            return Some(pos + pat.len());
-        }
-        start = pos + 1;
-    }
-    None
-}
-
-fn get_u64(line: &str, key: &str) -> Result<u64, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let digits = &line[at..];
-    let end = digits
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return Err(format!("field {key:?} is not a number"));
-    }
-    digits[..end]
-        .parse()
-        .map_err(|e| format!("field {key:?}: {e}"))
-}
-
-fn get_str(line: &str, key: &str) -> Result<String, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = &line[at..];
-    if !rest.starts_with('"') {
-        return Err(format!("field {key:?} is not a string"));
-    }
-    let mut out = String::new();
-    let mut chars = rest[1..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|e| format!("field {key:?}: bad \\u escape: {e}"))?;
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| format!("field {key:?}: bad codepoint {code}"))?,
-                    );
+impl ParsedAudit {
+    /// Fold one more audit-report JSONL text (any concatenation of
+    /// per-load reports) into this aggregate.
+    pub fn add_jsonl(&mut self, text: &str) -> Result<(), String> {
+        parse_lines(text, |line| {
+            match get_str(line, "ev")?.as_str() {
+                "violation" => self.violations.push(ParsedViolation {
+                    load: get_u64(line, "load")?,
+                    code: get_str(line, "code")?,
+                    scope: get_str(line, "scope")?,
+                    detail: get_str(line, "detail")?,
+                }),
+                "digest" => {
+                    let d = self.digests.entry(get_str(line, "scope")?).or_insert(0);
+                    *d = d.wrapping_add(get_u64(line, "hash")?);
                 }
-                other => return Err(format!("field {key:?}: bad escape {other:?}")),
-            },
-            c => out.push(c),
-        }
+                "audit_summary" => {
+                    self.loads += 1;
+                    self.packets += get_u64(line, "packets")?;
+                    self.samples += get_u64(line, "samples")?;
+                    self.spans += get_u64(line, "spans")?;
+                    self.dropped_violations += get_u64(line, "dropped_violations")?;
+                }
+                other => return Err(format!("unknown event type {other:?}")),
+            }
+            Ok(())
+        })?;
+        Ok(())
     }
-    Err(format!("field {key:?}: unterminated string"))
 }
 
 /// Parse audit-report JSONL (any concatenation of per-load reports).
 pub fn parse_audit_jsonl(text: &str) -> Result<ParsedAudit, String> {
     let mut out = ParsedAudit::default();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fail = |e: String| format!("line {}: {e}", idx + 1);
-        match get_str(line, "ev").map_err(&fail)?.as_str() {
-            "violation" => out.violations.push(ParsedViolation {
-                load: get_u64(line, "load").map_err(&fail)?,
-                code: get_str(line, "code").map_err(&fail)?,
-                scope: get_str(line, "scope").map_err(&fail)?,
-                detail: get_str(line, "detail").map_err(&fail)?,
-            }),
-            "digest" => {
-                let scope = get_str(line, "scope").map_err(&fail)?;
-                let hash = get_u64(line, "hash").map_err(&fail)?;
-                let d = out.digests.entry(scope).or_insert(0);
-                *d = d.wrapping_add(hash);
-            }
-            "audit_summary" => {
-                out.loads += 1;
-                out.packets += get_u64(line, "packets").map_err(&fail)?;
-                out.samples += get_u64(line, "samples").map_err(&fail)?;
-                out.spans += get_u64(line, "spans").map_err(&fail)?;
-                out.dropped_violations += get_u64(line, "dropped_violations").map_err(&fail)?;
-            }
-            other => return Err(fail(format!("unknown event type {other:?}"))),
-        }
-    }
+    out.add_jsonl(text)?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn point() -> TapPoint {
         TapPoint {
@@ -1122,6 +1055,45 @@ mod tests {
             expect.insert(k.clone(), *v);
         }
         assert_eq!(parsed.digests, expect);
+    }
+
+    /// Strings that stress the JSONL codec: quotes, backslashes, control
+    /// and multi-byte characters around embedded key text.
+    fn nasty_string() -> impl Strategy<Value = String> {
+        let chars = "[\u{0}-\u{1f}\"\\\\a-z,:{}é€𝄞]{0,16}";
+        (chars, 0usize..4, chars).prop_map(|(a, k, b)| {
+            let key = ["", "\",\"load\":7", "\\u0041", "\"scope\":\""][k];
+            format!("{a}{key}{b}")
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn report_jsonl_roundtrips_any_strings(
+            load in any::<u64>(),
+            code in prop_oneof![Just("cwnd-overfill"), Just("span-tiling")],
+            scope in nasty_string(),
+            detail in nasty_string(),
+            hash in any::<u64>(),
+        ) {
+            let report = AuditReport {
+                load,
+                violations: vec![Violation { code, scope: scope.clone(), detail: detail.clone() }],
+                dropped_violations: 2,
+                digests: BTreeMap::from([(scope.clone(), hash)]),
+                packets: 5,
+                http_events: 1,
+                samples: 3,
+                spans: 4,
+            };
+            let parsed = parse_audit_jsonl(&report.to_jsonl()).unwrap();
+            let code = code.to_string();
+            prop_assert_eq!(parsed.violations, vec![ParsedViolation { load, code, scope, detail }]);
+            prop_assert_eq!(parsed.digests, report.digests);
+            let totals = (parsed.loads, parsed.packets, parsed.samples, parsed.spans);
+            prop_assert_eq!(totals, (1, 5, 3, 4));
+            prop_assert_eq!(parsed.dropped_violations, 2);
+        }
     }
 
     #[test]

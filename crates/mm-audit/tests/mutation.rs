@@ -233,7 +233,7 @@ fn truncated_capture_stream_is_flagged_and_changes_the_digest() {
         codes(&truncated),
         vec!["untracked-dequeue", "conservation", "conservation-bytes"]
     );
-    // And the equivalence digest moves, so `mmaudit --compare` against
+    // And the equivalence digest moves, so `mmobs audit --compare` against
     // the intact run's report exits nonzero.
     assert_ne!(whole.digests["link1-down"], truncated.digests["link1-down"]);
     assert_ne!(

@@ -87,7 +87,7 @@ pub struct BrowserConfig {
     /// it, and the contiguous per-resource phase chain (`Queued` →
     /// [`ConnSetup`] → [`MuxWait`] → `RequestTx` → `Transfer` →
     /// `RenderQueue` → `Parse`) that tiles queued → parse-complete —
-    /// the exact-tiling property `mmpath`'s critical-path walk sums to
+    /// the exact-tiling property `mmobs path`'s critical-path walk sums to
     /// PLT. `None` (the default) costs one branch per transition;
     /// sinks observe only.
     pub span: Option<SpanHandle>,
@@ -870,7 +870,7 @@ impl Browser {
     /// stream waited on the handshake: that wait is `ConnSetup`, and the
     /// residual `MuxWait` collapses to zero. `Opened` later than both
     /// submit and ready is time spent queued behind the concurrent-stream
-    /// cap — the HoL-style wait `mmpath` attributes to `MuxWait`.
+    /// cap — the HoL-style wait `mmobs path` attributes to `MuxWait`.
     fn on_mux_stream_event(&self, authority: &str, tag: u32, ev: StreamEvent, t: Timestamp) {
         let mut inner = self.inner.borrow_mut();
         let Some(load) = inner.load.as_mut() else {
@@ -971,7 +971,7 @@ impl Browser {
     /// The phases tile `[queued_at, parse_end]` contiguously: each starts
     /// where the previous ended and zero-width phases are elided, so the
     /// phase durations of any one resource sum *exactly* to its span —
-    /// the invariant `mmpath`'s critical-path walk relies on to
+    /// the invariant `mmobs path`'s critical-path walk relies on to
     /// reconstruct PLT without residue.
     #[allow(clippy::too_many_arguments)]
     fn emit_resource_chain(

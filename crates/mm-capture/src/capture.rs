@@ -5,12 +5,14 @@
 //! once a stream hits its cap, further events increment a `dropped`
 //! counter instead of allocating, so a pathological run cannot consume
 //! unbounded memory. Captures serialize to JSONL (one self-describing
-//! object per line — what `--capture-out` writes and `mm-graph` parses)
-//! or to a compact length-prefixed binary form with an exact
-//! round-trip, for workloads where the text encoding dominates.
+//! object per line — what `--capture-out` writes) or to a compact
+//! length-prefixed binary form, for workloads where the text encoding
+//! dominates. Both decode exactly in [`crate::parse`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
+
+use mm_metrics::jsonl::escape;
 
 use crate::{
     Dir, HttpEvent, HttpPhase, LinkMeta, PacketEvent, PacketEventKind, PacketTap, PointKind,
@@ -235,23 +237,10 @@ pub fn data_to_jsonl(data: &CaptureData) -> String {
             h.t_ns,
             h.phase.as_str(),
             h.resource,
-            escape_json(&h.url),
+            escape(&h.url),
             h.status,
             h.bytes,
         ));
-    }
-    out
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }
@@ -356,155 +345,10 @@ pub fn encode_binary(data: &CaptureData) -> Vec<u8> {
     out
 }
 
-/// Cursor over the binary format; every read is bounds-checked.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.buf.len() {
-            return Err(format!(
-                "truncated capture: need {} bytes at offset {}, have {}",
-                n,
-                self.pos,
-                self.buf.len() - self.pos
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn point(&mut self) -> Result<TapPoint, String> {
-        let kind = match self.u8()? {
-            0 => PointKind::Link,
-            1 => PointKind::Delay,
-            2 => PointKind::Loss,
-            k => return Err(format!("bad point kind {k}")),
-        };
-        let dir = match self.u8()? {
-            0 => Dir::Up,
-            1 => Dir::Down,
-            d => return Err(format!("bad direction {d}")),
-        };
-        let index = self.u32()?;
-        Ok(TapPoint { kind, index, dir })
-    }
-}
-
-/// Decode the binary format back into a [`CaptureData`]. Exact inverse
-/// of [`encode_binary`].
-pub fn decode_binary(buf: &[u8]) -> Result<CaptureData, String> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(BINARY_MAGIC.len())? != BINARY_MAGIC {
-        return Err("not a binary capture (bad magic)".to_string());
-    }
-    let load = r.u64()?;
-    let dropped = r.u64()?;
-    let n_links = r.u32()? as usize;
-    let n_packets = r.u32()? as usize;
-    let n_https = r.u32()? as usize;
-    let mut data = CaptureData {
-        load,
-        dropped,
-        ..CaptureData::default()
-    };
-    for _ in 0..n_links {
-        let point = r.point()?;
-        let period_ms = r.u64()?;
-        let mtu_bytes = r.u32()?;
-        let n = r.u32()? as usize;
-        let mut deliveries_ms = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            deliveries_ms.push(r.u64()?);
-        }
-        data.links.push(LinkMeta {
-            point,
-            deliveries_ms: deliveries_ms.into(),
-            period_ms,
-            mtu_bytes,
-        });
-    }
-    for _ in 0..n_packets {
-        let t_ns = r.u64()?;
-        let kind = match r.u8()? {
-            0 => PacketEventKind::Enqueue,
-            1 => PacketEventKind::Dequeue,
-            2 => PacketEventKind::Drop,
-            3 => PacketEventKind::Deliver,
-            k => return Err(format!("bad packet event kind {k}")),
-        };
-        let point = r.point()?;
-        let pkt_id = r.u64()?;
-        let size_bytes = r.u32()?;
-        let sojourn_ns = r.u64()?;
-        let flow = r.u64()?;
-        data.packets.push(PacketEvent {
-            t_ns,
-            kind,
-            point,
-            pkt_id,
-            size_bytes,
-            sojourn_ns,
-            flow,
-        });
-    }
-    for _ in 0..n_https {
-        let t_ns = r.u64()?;
-        let phase = match r.u8()? {
-            0 => HttpPhase::Queued,
-            1 => HttpPhase::Sent,
-            2 => HttpPhase::Done,
-            3 => HttpPhase::Failed,
-            4 => HttpPhase::ServerRecv,
-            5 => HttpPhase::ServerSent,
-            p => return Err(format!("bad http phase {p}")),
-        };
-        let resource = r.u32()?;
-        let status = r.u16()?;
-        let bytes = r.u64()?;
-        let url_len = r.u32()? as usize;
-        let url = String::from_utf8(r.take(url_len)?.to_vec())
-            .map_err(|e| format!("bad url utf-8: {e}"))?;
-        data.https.push(HttpEvent {
-            t_ns,
-            phase,
-            resource,
-            url,
-            status,
-            bytes,
-        });
-    }
-    if r.pos != buf.len() {
-        return Err(format!(
-            "{} trailing bytes after capture",
-            buf.len() - r.pos
-        ));
-    }
-    Ok(data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{decode_binary, parse_capture_jsonl};
 
     fn point(kind: PointKind, index: u32, dir: Dir) -> TapPoint {
         TapPoint { kind, index, dir }
@@ -694,6 +538,16 @@ mod tests {
             )
     }
 
+    /// Strings that stress the JSONL codec: quotes, backslashes, control
+    /// and multi-byte characters around embedded key text.
+    fn nasty_string() -> impl Strategy<Value = String> {
+        let chars = "[\u{0}-\u{1f}\"\\\\a-z,:{}é€𝄞]{0,16}";
+        (chars, 0usize..4, chars).prop_map(|(a, k, b)| {
+            let key = ["", "\",\"load\":7", "\\u0041", "\"t_ns\":9,\""][k];
+            format!("{a}{key}{b}")
+        })
+    }
+
     proptest! {
         #[test]
         fn binary_roundtrip_arbitrary(
@@ -701,7 +555,7 @@ mod tests {
             dropped in any::<u64>(),
             packets in proptest::collection::vec(arb_packet(), 0..64),
             deliveries in proptest::collection::vec(any::<u64>(), 0..32),
-            url in "[a-z0-9/:.]{0,40}",
+            url in nasty_string(),
         ) {
             let data = CaptureData {
                 load,
@@ -723,7 +577,10 @@ mod tests {
                 }],
             };
             let decoded = decode_binary(&encode_binary(&data)).unwrap();
-            prop_assert_eq!(decoded, data);
+            prop_assert_eq!(&decoded, &data);
+            // JSONL carries everything but the drop count.
+            let parsed = parse_capture_jsonl(&data_to_jsonl(&data)).unwrap();
+            prop_assert_eq!(parsed, vec![CaptureData { dropped: 0, ..data }]);
         }
     }
 }

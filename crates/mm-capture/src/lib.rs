@@ -8,7 +8,8 @@
 //! drop, delivery), the browser/replay boundary reports HTTP
 //! request/response milestones, and the standard [`Capture`] sink
 //! stores them in a bounded buffer that serializes to JSONL or a
-//! compact binary form for offline analysis by `mm-graph`.
+//! compact binary form. The crate owns both formats: `capture` encodes
+//! them and `parse` decodes them, for offline analysis by `mm-graph`.
 //!
 //! The hook mirrors the `MetricsSink` pattern from `mm-metrics`: every
 //! trait method defaults to a no-op, instrumented code holds
@@ -17,11 +18,13 @@
 //! the byte-identical-when-off (and when-on) guarantee.
 
 mod capture;
+mod parse;
 
 pub use capture::{
-    data_to_jsonl, decode_binary, encode_binary, Capture, CaptureData, BINARY_MAGIC,
-    DEFAULT_MAX_HTTP_EVENTS, DEFAULT_MAX_PACKET_EVENTS,
+    data_to_jsonl, encode_binary, Capture, CaptureData, BINARY_MAGIC, DEFAULT_MAX_HTTP_EVENTS,
+    DEFAULT_MAX_PACKET_EVENTS,
 };
+pub use parse::{decode_binary, parse_capture_bytes, parse_capture_jsonl};
 
 use std::fmt;
 use std::rc::Rc;

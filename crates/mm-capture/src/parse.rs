@@ -1,98 +1,24 @@
-//! Parse capture files back into [`CaptureData`].
+//! Parse capture files back into [`CaptureData`]: the decoding half of
+//! the two serializations [`crate::capture`] writes.
 //!
-//! The JSONL parser is a hand-rolled scanner over the flat, fixed-shape
-//! objects `mm_capture::data_to_jsonl` emits — not a general JSON
-//! parser. Every line carries a `load` tag; lines are grouped into one
-//! [`CaptureData`] per load (loads run in separate simulations with
-//! separate clocks, so they must never be mixed). Binary captures are
-//! recognized by magic and delegated to [`mm_capture::decode_binary`].
+//! The JSONL reader scans the flat, fixed-shape objects
+//! [`data_to_jsonl`](crate::data_to_jsonl) emits with the shared
+//! `mm_metrics::jsonl` scanner. Every line carries a `load` tag; lines
+//! are grouped into one [`CaptureData`] per load (loads run in separate
+//! simulations with separate clocks, so they must never be mixed).
+//! Binary captures are recognized by [`BINARY_MAGIC`] and decoded by
+//! [`decode_binary`]. Both readers return `Err` on malformed input and
+//! never panic.
 
 use std::collections::BTreeMap;
 
-use mm_capture::{
-    decode_binary, CaptureData, Dir, HttpEvent, HttpPhase, LinkMeta, PacketEvent, PacketEventKind,
-    PointKind, TapPoint, BINARY_MAGIC,
+use mm_metrics::jsonl::{get_str, get_u64, get_u64_array, parse_lines};
+
+use crate::capture::BINARY_MAGIC;
+use crate::{
+    CaptureData, Dir, HttpEvent, HttpPhase, LinkMeta, PacketEvent, PacketEventKind, PointKind,
+    TapPoint,
 };
-
-/// Find the value start of `"key":` in a flat JSON object, skipping
-/// occurrences embedded in string values (their quote is escaped, so
-/// the preceding byte is a backslash).
-fn find_key(line: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    while let Some(rel) = line[start..].find(&pat) {
-        let pos = start + rel;
-        if pos == 0 || bytes[pos - 1] != b'\\' {
-            return Some(pos + pat.len());
-        }
-        start = pos + 1;
-    }
-    None
-}
-
-fn get_u64(line: &str, key: &str) -> Result<u64, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let digits: &str = &line[at..];
-    let end = digits
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return Err(format!("field {key:?} is not a number"));
-    }
-    digits[..end]
-        .parse()
-        .map_err(|e| format!("field {key:?}: {e}"))
-}
-
-fn get_str(line: &str, key: &str) -> Result<String, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = &line[at..];
-    if !rest.starts_with('"') {
-        return Err(format!("field {key:?} is not a string"));
-    }
-    let mut out = String::new();
-    let mut chars = rest[1..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|e| format!("field {key:?}: bad \\u escape: {e}"))?;
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| format!("field {key:?}: bad codepoint {code}"))?,
-                    );
-                }
-                other => return Err(format!("field {key:?}: bad escape {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err(format!("field {key:?}: unterminated string"))
-}
-
-fn get_u64_array(line: &str, key: &str) -> Result<Vec<u64>, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = &line[at..];
-    if !rest.starts_with('[') {
-        return Err(format!("field {key:?} is not an array"));
-    }
-    let close = rest
-        .find(']')
-        .ok_or_else(|| format!("field {key:?}: unterminated array"))?;
-    let body = &rest[1..close];
-    if body.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split(',')
-        .map(|s| s.trim().parse().map_err(|e| format!("field {key:?}: {e}")))
-        .collect()
-}
 
 fn get_point(line: &str) -> Result<TapPoint, String> {
     let kind = match get_str(line, "at")?.as_str() {
@@ -166,16 +92,156 @@ fn parse_line(line: &str, by_load: &mut BTreeMap<u64, CaptureData>) -> Result<()
 
 /// Parse a JSONL capture, grouping events into one [`CaptureData`] per
 /// load, ordered by load id.
-pub fn parse_jsonl(text: &str) -> Result<Vec<CaptureData>, String> {
+pub fn parse_capture_jsonl(text: &str) -> Result<Vec<CaptureData>, String> {
     let mut by_load = BTreeMap::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        parse_line(line, &mut by_load).map_err(|e| format!("line {}: {e}", idx + 1))?;
-    }
+    parse_lines(text, |line| parse_line(line, &mut by_load))?;
     Ok(by_load.into_values().collect())
+}
+
+/// Cursor over the binary format; every read is bounds-checked.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if self.pos + n > self.buf.len() {
+            return Err(format!(
+                "truncated capture: need {} bytes at offset {}, have {}",
+                n,
+                self.pos,
+                self.buf.len() - self.pos
+            ));
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn u8(&mut self) -> Result<u8, String> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, String> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    }
+
+    fn u32(&mut self) -> Result<u32, String> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    fn u64(&mut self) -> Result<u64, String> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    fn point(&mut self) -> Result<TapPoint, String> {
+        let kind = match self.u8()? {
+            0 => PointKind::Link,
+            1 => PointKind::Delay,
+            2 => PointKind::Loss,
+            k => return Err(format!("bad point kind {k}")),
+        };
+        let dir = match self.u8()? {
+            0 => Dir::Up,
+            1 => Dir::Down,
+            d => return Err(format!("bad direction {d}")),
+        };
+        let index = self.u32()?;
+        Ok(TapPoint { kind, index, dir })
+    }
+}
+
+/// Decode the binary format back into a [`CaptureData`]. Exact inverse
+/// of [`encode_binary`].
+pub fn decode_binary(buf: &[u8]) -> Result<CaptureData, String> {
+    let mut r = Reader { buf, pos: 0 };
+    if r.take(BINARY_MAGIC.len())? != BINARY_MAGIC {
+        return Err("not a binary capture (bad magic)".to_string());
+    }
+    let load = r.u64()?;
+    let dropped = r.u64()?;
+    let n_links = r.u32()? as usize;
+    let n_packets = r.u32()? as usize;
+    let n_https = r.u32()? as usize;
+    let mut data = CaptureData {
+        load,
+        dropped,
+        ..CaptureData::default()
+    };
+    for _ in 0..n_links {
+        let point = r.point()?;
+        let period_ms = r.u64()?;
+        let mtu_bytes = r.u32()?;
+        let n = r.u32()? as usize;
+        let mut deliveries_ms = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..n {
+            deliveries_ms.push(r.u64()?);
+        }
+        data.links.push(LinkMeta {
+            point,
+            deliveries_ms: deliveries_ms.into(),
+            period_ms,
+            mtu_bytes,
+        });
+    }
+    for _ in 0..n_packets {
+        let t_ns = r.u64()?;
+        let kind = match r.u8()? {
+            0 => PacketEventKind::Enqueue,
+            1 => PacketEventKind::Dequeue,
+            2 => PacketEventKind::Drop,
+            3 => PacketEventKind::Deliver,
+            k => return Err(format!("bad packet event kind {k}")),
+        };
+        let point = r.point()?;
+        let pkt_id = r.u64()?;
+        let size_bytes = r.u32()?;
+        let sojourn_ns = r.u64()?;
+        let flow = r.u64()?;
+        data.packets.push(PacketEvent {
+            t_ns,
+            kind,
+            point,
+            pkt_id,
+            size_bytes,
+            sojourn_ns,
+            flow,
+        });
+    }
+    for _ in 0..n_https {
+        let t_ns = r.u64()?;
+        let phase = match r.u8()? {
+            0 => HttpPhase::Queued,
+            1 => HttpPhase::Sent,
+            2 => HttpPhase::Done,
+            3 => HttpPhase::Failed,
+            4 => HttpPhase::ServerRecv,
+            5 => HttpPhase::ServerSent,
+            p => return Err(format!("bad http phase {p}")),
+        };
+        let resource = r.u32()?;
+        let status = r.u16()?;
+        let bytes = r.u64()?;
+        let url_len = r.u32()? as usize;
+        let url = String::from_utf8(r.take(url_len)?.to_vec())
+            .map_err(|e| format!("bad url utf-8: {e}"))?;
+        data.https.push(HttpEvent {
+            t_ns,
+            phase,
+            resource,
+            url,
+            status,
+            bytes,
+        });
+    }
+    if r.pos != buf.len() {
+        return Err(format!(
+            "{} trailing bytes after capture",
+            buf.len() - r.pos
+        ));
+    }
+    Ok(data)
 }
 
 /// Parse either capture serialization: binary (by magic) or JSONL.
@@ -184,13 +250,13 @@ pub fn parse_capture_bytes(bytes: &[u8]) -> Result<Vec<CaptureData>, String> {
         return Ok(vec![decode_binary(bytes)?]);
     }
     let text = std::str::from_utf8(bytes).map_err(|e| format!("capture is not UTF-8: {e}"))?;
-    parse_jsonl(text)
+    parse_capture_jsonl(text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_capture::{data_to_jsonl, encode_binary, Capture, PacketTap, NO_RESOURCE};
+    use crate::{data_to_jsonl, encode_binary, Capture, PacketTap, NO_RESOURCE};
 
     fn sample_data(load: u64) -> CaptureData {
         let cap = Capture::for_load(load);
@@ -239,7 +305,7 @@ mod tests {
     #[test]
     fn jsonl_roundtrip_exact() {
         let data = sample_data(7);
-        let parsed = parse_jsonl(&data_to_jsonl(&data)).unwrap();
+        let parsed = parse_capture_jsonl(&data_to_jsonl(&data)).unwrap();
         assert_eq!(parsed, vec![data]);
     }
 
@@ -248,7 +314,7 @@ mod tests {
         let a = sample_data(5);
         let b = sample_data(2);
         let merged = format!("{}{}", data_to_jsonl(&a), data_to_jsonl(&b));
-        let parsed = parse_jsonl(&merged).unwrap();
+        let parsed = parse_capture_jsonl(&merged).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].load, 2);
         assert_eq!(parsed[1].load, 5);
@@ -279,16 +345,16 @@ mod tests {
             });
             cap.data()
         };
-        let parsed = parse_jsonl(&data_to_jsonl(&data)).unwrap();
+        let parsed = parse_capture_jsonl(&data_to_jsonl(&data)).unwrap();
         assert_eq!(parsed, vec![data]);
         assert_eq!(parsed[0].https[0].t_ns, 4);
     }
 
     #[test]
     fn bad_lines_are_reported_with_line_numbers() {
-        let err = parse_jsonl("{\"ev\":\"pkt\",\"load\":1}\n").unwrap_err();
+        let err = parse_capture_jsonl("{\"ev\":\"pkt\",\"load\":1}\n").unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
-        let err = parse_jsonl("{\"ev\":\"nope\",\"load\":1}").unwrap_err();
+        let err = parse_capture_jsonl("{\"ev\":\"nope\",\"load\":1}").unwrap_err();
         assert!(err.contains("unknown event type"), "{err}");
     }
 }

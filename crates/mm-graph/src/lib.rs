@@ -11,12 +11,11 @@
 //! - an **HTTP resource waterfall** per page load, from the events
 //!   tapped at the browser/replay boundary.
 //!
-//! The `mmgraph` bin drives [`render_capture`] over a capture file or
+//! `mmobs graph` (in `mm-path`) drives [`render_capture`] over a capture file or
 //! directory; each graph also gets a CSV twin so numbers stay
 //! machine-checkable.
 
 pub mod analyze;
-pub mod parse;
 pub mod render;
 pub mod svg;
 
@@ -24,7 +23,6 @@ pub use analyze::{
     delay_bands, delay_samples, mbps, percentile, throughput, waterfall, DelayBand, DelaySample,
     ThroughputBin, ThroughputSeries, WaterfallRow,
 };
-pub use parse::{parse_capture_bytes, parse_jsonl};
 pub use render::{
     delay_csv, delay_svg, throughput_csv, throughput_svg, waterfall_csv, waterfall_svg,
 };

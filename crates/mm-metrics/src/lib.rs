@@ -19,9 +19,13 @@
 //!   t, cwnd, ssthresh, srtt, pacing rate, bytes in flight, delivered,
 //!   retransmit count, state) with interval-based downsampling and a
 //!   compact JSONL dump for offline anomaly debugging.
+//! - [`jsonl`]: the flat-JSONL escape and key scanner every observer
+//!   stream (flow traces, captures, spans, audit reports) encodes and
+//!   decodes with.
 //!
 //! Everything here uses plain `std` — no vendored stubs required.
 
+pub mod jsonl;
 mod registry;
 mod sink;
 mod trace;

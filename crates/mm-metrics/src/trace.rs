@@ -11,6 +11,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::jsonl::escape;
+
 /// One point in a flow's time series. Times are in seconds of
 /// simulated time; byte quantities are raw bytes; rates are bytes/sec.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -189,7 +191,7 @@ impl FlowTracer {
                         "\"in_flight\":{},\"delivered\":{},\"retx\":{},\"state\":\"{}\"}}\n"
                     ),
                     id,
-                    escape_json(&record.desc),
+                    escape(&record.desc),
                     s.t_s,
                     s.cwnd,
                     s.ssthresh,
@@ -198,7 +200,7 @@ impl FlowTracer {
                     s.bytes_in_flight,
                     s.delivered,
                     s.retx_count,
-                    escape_json(s.state),
+                    escape(s.state),
                 ));
             }
         }
@@ -212,19 +214,6 @@ impl FlowTracer {
         self.inner.borrow_mut().flows.clear();
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -627,7 +627,7 @@ impl TcpInner {
 
     /// Span-layer connection id: the initiator's local address packed
     /// as `ip << 16 | port`. The same id is computable from the remote
-    /// address on the server side, which is how `mmpath` joins server
+    /// address on the server side, which is how `mmobs path` joins server
     /// think-time spans to browser-side connections without URL tricks.
     fn span_conn_id(&self) -> u64 {
         ((self.local.ip.0 as u64) << 16) | self.local.port as u64

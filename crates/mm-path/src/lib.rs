@@ -33,6 +33,13 @@
 //! non-overlap check is http1-only, and what mux pays instead shows up
 //! as explicit `MuxWait` (stream-scheduler slot wait) and transport
 //! `HolWait` (TCP reassembly-gap) spans.
+//!
+//! ## The `mmobs` analyzer
+//!
+//! The crate's `mmobs` binary is the one CLI over every observer
+//! artifact: `mmobs path` drives this module over a span file, `mmobs
+//! graph` renders captures through `mm-graph`, and `mmobs audit` gates
+//! on `mm-audit` reports.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -443,7 +450,7 @@ fn median(mut v: Vec<f64>) -> f64 {
 /// Number of load pairs [`render_diff`] will match: loads sharing a
 /// root URL across the two arms, counted min-wise per URL. Zero means
 /// the diff would be vacuous (disjoint corpora, or a mislabeled arm) —
-/// `mmpath --diff` refuses to print a table in that case.
+/// `mmobs path --diff` refuses to print a table in that case.
 pub fn paired_loads(a: &[PageTree], b: &[PageTree]) -> usize {
     let mut count_a: BTreeMap<&str, usize> = BTreeMap::new();
     for t in a {

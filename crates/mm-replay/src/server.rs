@@ -79,7 +79,7 @@ pub struct ReplayConfig {
     /// span covering request-parsed → response-written (the think-time
     /// window, including any CPU-serialization wait). `conn` is the
     /// *initiator's* address id — the same id the browser-side socket
-    /// stamps — and `url` the request target, so `mmpath` splits the
+    /// stamps — and `url` the request target, so `mmobs path` splits the
     /// browser's request→first-byte interval at the server's actual
     /// service window. Sinks observe only.
     pub span: Option<SpanHandle>,

@@ -6,7 +6,7 @@
 //!
 //! The crate also hosts the causal span layer ([`span`]): a [`SpanSink`]
 //! observer trait plus a bounded [`TraceBuffer`] the whole stack records
-//! typed, parented wait intervals into — the raw material for `mmpath`'s
+//! typed, parented wait intervals into — the raw material for `mmobs path`'s
 //! critical-path PLT attribution.
 
 pub mod format;

@@ -7,7 +7,7 @@
 //! scheduler, the TCP handshake and reassembly queue, the mux stream
 //! scheduler, the replay server's think time) emits a [`Span`] naming
 //! the wait, bounded in time, and linked to its causal parent. The
-//! `mmpath` analyzer (`crates/mm-path`) rebuilds the tree and walks the
+//! `mmobs path` analyzer (`crates/mm-path`) rebuilds the tree and walks the
 //! chain of blocking spans whose durations sum *exactly* to the page's
 //! PLT — WProf-style critical-path attribution over Dapper-style spans.
 //!
@@ -29,6 +29,8 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
+
+use mm_metrics::jsonl::{escape, get_str, get_u64, parse_lines};
 
 /// `res` value for spans not attached to a browser resource.
 pub const NO_RESOURCE: u32 = u32::MAX;
@@ -323,19 +325,6 @@ impl SpanSink for FanoutSpan {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One span as a flat JSONL object (the shape `mm-path` parses).
 pub fn span_to_jsonl_line(s: &Span) -> String {
     format!(
@@ -349,8 +338,8 @@ pub fn span_to_jsonl_line(s: &Span) -> String {
         s.t1_ns,
         s.res,
         s.conn,
-        escape_json(&s.url),
-        escape_json(&s.detail),
+        escape(&s.url),
+        escape(&s.detail),
     )
 }
 
@@ -361,68 +350,6 @@ pub fn spans_to_jsonl(spans: &[Span]) -> String {
         out.push_str(&span_to_jsonl_line(s));
     }
     out
-}
-
-// --- JSONL scanner (same restricted-shape approach as mm-graph's
-// capture parser: flat objects, known keys, escape-aware key search) ---
-
-fn find_key(line: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    while let Some(rel) = line[start..].find(&pat) {
-        let pos = start + rel;
-        if pos == 0 || bytes[pos - 1] != b'\\' {
-            return Some(pos + pat.len());
-        }
-        start = pos + 1;
-    }
-    None
-}
-
-fn get_u64(line: &str, key: &str) -> Result<u64, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let digits: &str = &line[at..];
-    let end = digits
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return Err(format!("field {key:?} is not a number"));
-    }
-    digits[..end]
-        .parse()
-        .map_err(|e| format!("field {key:?}: {e}"))
-}
-
-fn get_str(line: &str, key: &str) -> Result<String, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = &line[at..];
-    if !rest.starts_with('"') {
-        return Err(format!("field {key:?} is not a string"));
-    }
-    let mut out = String::new();
-    let mut chars = rest[1..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|e| format!("field {key:?}: bad \\u escape: {e}"))?;
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| format!("field {key:?}: bad codepoint {code}"))?,
-                    );
-                }
-                other => return Err(format!("field {key:?}: bad escape {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err(format!("field {key:?}: unterminated string"))
 }
 
 /// Parse one JSONL span line.
@@ -451,15 +378,7 @@ pub fn parse_span_line(line: &str) -> Result<Span, String> {
 /// Parse a JSONL span file (blank lines skipped, errors carry line
 /// numbers). Spans are returned in file order; callers group by `load`.
 pub fn parse_spans_jsonl(text: &str) -> Result<Vec<Span>, String> {
-    let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        out.push(parse_span_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?);
-    }
-    Ok(out)
+    parse_lines(text, parse_span_line)
 }
 
 #[cfg(test)]
@@ -564,6 +483,16 @@ mod tests {
         assert!(err.contains("unknown event type"), "{err}");
     }
 
+    /// Strings that stress the JSONL codec: quotes, backslashes, control
+    /// and multi-byte characters around embedded key text.
+    fn nasty_string() -> impl Strategy<Value = String> {
+        let chars = "[\u{0}-\u{1f}\"\\\\a-z,:{}é€𝄞]{0,16}";
+        (chars, 0usize..4, chars).prop_map(|(a, k, b)| {
+            let key = ["", "\",\"load\":7", "\\u0041", "\"url\":\""][k];
+            format!("{a}{key}{b}")
+        })
+    }
+
     proptest! {
         #[test]
         fn jsonl_round_trip_any_span(
@@ -575,8 +504,8 @@ mod tests {
             dur in 0u64..u64::MAX / 2,
             res in prop_oneof![Just(NO_RESOURCE), 0u32..512u32],
             conn in 0u64..u64::MAX,
-            url in "[ -~]{0,40}",
-            detail in "[ -~]{0,16}",
+            url in nasty_string(),
+            detail in nasty_string(),
         ) {
             let kinds = [
                 SpanKind::Page, SpanKind::Resource, SpanKind::Queued,
